@@ -17,13 +17,17 @@
 //!
 //! Runs are also **resource-governed**: a [`Governor`] built from
 //! [`PipelineConfig::budget`] is polled at every stage boundary and
-//! before every item of the per-term fan-out. A *hard* trip (run
-//! deadline, cancellation, allocation budget) truncates the remaining
-//! work — unprocessed terms get score-only reports marked `truncated` —
-//! while a *soft* trip (per-stage deadline) re-runs the remaining terms
-//! under the cheapest Step-III configuration with Step IV skipped.
+//! before every item of the per-term fan-out. The run is one stage
+//! sequence (validation → Step I → occurrence index → Step II training
+//! → Step III/IV set-up → fan-out → soft-deadline cheap pass) with a
+//! single exit. A *hard* trip (run deadline, cancellation, allocation
+//! budget) ends the sequence at its checkpoint; the exit records the
+//! trip and gives every still-pending term a score-only report marked
+//! `truncated`. A *soft* trip (per-stage deadline) re-runs the pending
+//! terms under the cheapest Step-III configuration with Step IV skipped.
 //! Either way the partial report is returned with the trip recorded in
-//! its diagnostics; the run never aborts mid-flight.
+//! its diagnostics; the run never aborts mid-flight. Every stage that
+//! began has exactly one entry in [`RunDiagnostics::timings`].
 
 use crate::diagnostics::{BudgetTrip, Degradation, DetectorOutcome, RunDiagnostics, StageTiming};
 use crate::error::{EnrichError, Stage};
@@ -142,23 +146,57 @@ impl EnrichmentPipeline {
         ontology: &Ontology,
         gov: Governor,
     ) -> Result<EnrichmentReport, EnrichError> {
-        let mut diag = RunDiagnostics::default();
+        // The one exit of the stage sequence: record a hard trip, give
+        // every still-pending term a score-only truncated report, then
+        // assemble the report.
+        let mut run = RunState::default();
+        match self.stages(corpus, ontology, &gov, &mut run) {
+            Ok(()) => {}
+            Err(Halt::Failed(e)) => return Err(e),
+            Err(Halt::Tripped(kind, stage, truncates)) => {
+                run.record_trip(&gov, kind, stage, truncates);
+            }
+        }
+        run.terms
+            .extend(run.pending.drain(..).map(truncated_report));
 
+        // Report assembly, with a final late-trip poll so a budget that
+        // tripped after the last checkpoint still reaches the caller.
+        guarded_stage(Stage::Reporting, || {
+            boe_chaos::inject(boe_chaos::sites::REPORT)
+        })?;
+        if run.diag.hard_trip().is_none() {
+            if let Some(trip) = gov.check_hard() {
+                run.record_trip(&gov, trip, Stage::Reporting, &[]);
+            }
+        }
+        Ok(EnrichmentReport {
+            terms: run.terms,
+            already_known: run.already_known,
+            diagnostics: run.diag,
+        })
+    }
+
+    /// The workflow as one stage sequence: validation → Step I →
+    /// occurrence index → Step II training → Step III/IV set-up →
+    /// fan-out → soft-deadline cheap pass. A hard trip at any checkpoint
+    /// ends the sequence with [`Halt::Tripped`], leaving the unprocessed
+    /// terms in [`RunState::pending`].
+    fn stages(
+        &self,
+        corpus: &Corpus,
+        ontology: &Ontology,
+        gov: &Governor,
+        run: &mut RunState,
+    ) -> Result<(), Halt> {
         // Upfront validation. The chaos site sits inside the guard so an
         // injected panic surfaces as a typed stage failure.
         gov.begin_stage();
         guarded_stage(Stage::Validation, || {
             boe_chaos::inject(boe_chaos::sites::VALIDATE);
-            validate(corpus, ontology, &mut diag)
+            validate(corpus, ontology, &mut run.diag)
         })??;
-        if let Some(trip) = gov.check_hard() {
-            record_trip(&gov, &mut diag, trip, Stage::Validation, ALL_STEPS);
-            return Ok(EnrichmentReport {
-                terms: Vec::new(),
-                already_known: Vec::new(),
-                diagnostics: diag,
-            });
-        }
+        hard_checkpoint(gov, Stage::Validation, ALL_STEPS)?;
 
         // Step I: extract and rank candidates. Candidates already in the
         // ontology are training data for Step II, not enrichment targets.
@@ -173,48 +211,25 @@ impl EnrichmentPipeline {
             boe_chaos::inject(boe_chaos::sites::STEP1_EXTRACT);
             TermExtractor::try_new(corpus, self.config.candidates, &stop_step1).map(|extractor| {
                 let ranked = extractor.top(corpus, self.config.measure, self.config.top_terms);
-                let mut already_known = Vec::new();
-                let mut new_terms = Vec::new();
-                for r in ranked {
-                    if ontology.contains_term(&r.surface) {
-                        already_known.push(r.surface);
-                    } else {
-                        new_terms.push(r);
-                    }
-                }
-                (already_known, new_terms)
+                let (known, new_terms): (Vec<_>, Vec<_>) = ranked
+                    .into_iter()
+                    .partition(|r| ontology.contains_term(&r.surface));
+                (known.into_iter().map(|r| r.surface).collect(), new_terms)
             })
         })?;
-        diag.timings.push(StageTiming {
-            stage: Stage::TermExtraction,
-            elapsed: t0.elapsed(),
-        });
+        run.time(Stage::TermExtraction, t0.elapsed());
+        // Interrupted mid-extraction: partial candidate statistics would
+        // be prefix-dependent, so Step I reports no terms at all —
+        // deterministic at any thread count.
         let Some((already_known, new_terms)) = extracted else {
-            // Interrupted mid-extraction: partial candidate statistics
-            // would be prefix-dependent, so Step I reports no terms at
-            // all — deterministic at any thread count.
-            let trip = gov.check_hard().unwrap_or(TripKind::Deadline);
-            record_trip(&gov, &mut diag, trip, Stage::TermExtraction, ALL_STEPS);
-            return Ok(EnrichmentReport {
-                terms: Vec::new(),
-                already_known: Vec::new(),
-                diagnostics: diag,
-            });
+            let kind = gov.check_hard().unwrap_or(TripKind::Deadline);
+            return Err(Halt::Tripped(kind, Stage::TermExtraction, ALL_STEPS));
         };
-        if new_terms.is_empty() {
-            diag.warn("step I extracted no new candidate terms");
+        (run.already_known, run.pending) = (already_known, new_terms);
+        if run.pending.is_empty() {
+            run.diag.warn("step I extracted no new candidate terms");
         }
-        if let Some(trip) = gov.check_hard() {
-            record_trip(&gov, &mut diag, trip, Stage::TermExtraction, FANOUT_STEPS);
-            return Ok(EnrichmentReport {
-                terms: new_terms
-                    .iter()
-                    .map(|r| truncated_report(&r.surface, r.score))
-                    .collect(),
-                already_known,
-                diagnostics: diag,
-            });
-        }
+        hard_checkpoint(gov, Stage::TermExtraction, FANOUT_STEPS)?;
 
         // One occurrence index per run: every remaining stage (detector
         // training, per-term features, sense contexts, linkage) resolves
@@ -230,46 +245,21 @@ impl EnrichmentPipeline {
         let features = guarded_stage(Stage::PolysemyDetection, || {
             FeatureContext::build_with_index(corpus, Arc::clone(&occ))
         })?;
-        let detector = match catch_unwind(AssertUnwindSafe(|| {
+        let detector = catch_unwind(AssertUnwindSafe(|| {
             boe_chaos::inject(boe_chaos::sites::STEP2_TRAIN);
-            self.train_detector(corpus, ontology, &occ, &features, &mut diag)
-        })) {
-            Ok(d) => d,
-            Err(payload) => {
-                let reason = panic_message(payload);
-                diag.detector = DetectorOutcome::Fallback {
-                    reason: format!("training panicked: {reason}"),
-                };
-                diag.degrade(
-                    "",
-                    Stage::PolysemyDetection,
-                    format!("detector training panicked: {reason}"),
-                );
-                None
-            }
-        };
-        let mut detect_time = t0.elapsed();
-        if let Some(trip) = gov.check_hard() {
-            record_trip(
-                &gov,
-                &mut diag,
-                trip,
-                Stage::PolysemyDetection,
-                FANOUT_STEPS,
-            );
-            diag.timings.push(StageTiming {
-                stage: Stage::PolysemyDetection,
-                elapsed: detect_time,
-            });
-            return Ok(EnrichmentReport {
-                terms: new_terms
-                    .iter()
-                    .map(|r| truncated_report(&r.surface, r.score))
-                    .collect(),
-                already_known,
-                diagnostics: diag,
-            });
-        }
+            self.train_detector(corpus, ontology, &occ, &features, &mut run.diag)
+        }))
+        .unwrap_or_else(|payload| {
+            let reason = panic_message(payload);
+            run.diag.detector = DetectorOutcome::Fallback {
+                reason: format!("training panicked: {reason}"),
+            };
+            let reason = format!("detector training panicked: {reason}");
+            run.diag.degrade("", Stage::PolysemyDetection, reason);
+            None
+        });
+        run.time(Stage::PolysemyDetection, t0.elapsed());
+        hard_checkpoint(gov, Stage::PolysemyDetection, FANOUT_STEPS)?;
 
         // Step III/IV setup: the inducer and linker are corpus-wide and
         // shared by every term; a panic here cannot be downgraded.
@@ -287,181 +277,47 @@ impl EnrichmentPipeline {
             );
             (inducer, linker)
         })?;
-        let mut induce_time = t0.elapsed();
-        let mut link_time = Duration::ZERO;
-        if let Some(trip) = gov.check_hard() {
-            record_trip(&gov, &mut diag, trip, Stage::SenseInduction, FANOUT_STEPS);
-            diag.timings.push(StageTiming {
-                stage: Stage::PolysemyDetection,
-                elapsed: detect_time,
-            });
-            return Ok(EnrichmentReport {
-                terms: new_terms
-                    .iter()
-                    .map(|r| truncated_report(&r.surface, r.score))
-                    .collect(),
-                already_known,
-                diagnostics: diag,
-            });
-        }
+        run.time(Stage::SenseInduction, t0.elapsed());
+        hard_checkpoint(gov, Stage::SenseInduction, FANOUT_STEPS)?;
 
-        // Steps II–IV fan out across candidate terms: each term is
-        // independent given the trained detector, the inducer and the
-        // linker, so the per-term work is chunked across threads
-        // (`boe-par`). Determinism contract: outcomes come back in term
-        // order, so reports, degradations (term order, stage order within
-        // a term) and timing sums are identical to the serial loop at any
-        // thread count. The governor is polled before every item; an
-        // interruption keeps the deterministic completed prefix.
+        // Steps II–IV per term, polling every budget (hard and soft).
         gov.begin_stage();
-        let stop = || gov.check().is_some();
-        let fan = catch_unwind(AssertUnwindSafe(|| {
-            boe_chaos::inject(boe_chaos::sites::FANOUT);
-            boe_par::try_par_map(&new_terms, &stop, |r| {
-                self.process_term(
-                    corpus,
-                    r,
-                    detector.as_ref(),
-                    &features,
-                    &inducer,
-                    Some(&linker),
-                )
-            })
-        }));
-        let (outcomes, fanout_panic) = match fan {
-            Ok(o) => (o.into_results(), None),
-            Err(payload) => (Vec::new(), Some(panic_message(payload))),
-        };
-
-        let mut terms = Vec::with_capacity(new_terms.len());
-        let processed = outcomes.len();
-        for o in outcomes {
-            detect_time += o.detect;
-            induce_time += o.induce;
-            link_time += o.link;
-            diag.degraded.extend(o.degraded);
-            terms.extend(o.report);
+        let detector = detector.as_ref();
+        let full = run.fan_out(&|| gov.check().is_some(), |r| {
+            self.process_term(corpus, r, detector, &features, &inducer, Some(&linker))
+        });
+        if let Err(msg) = full {
+            let reason = format!("fan-out panicked: {msg}; steps II–IV skipped for all terms");
+            run.diag.degrade("", Stage::PolysemyDetection, reason);
+            return Ok(());
         }
-
-        let remaining = &new_terms[processed..];
-        if let Some(msg) = fanout_panic {
-            // A panic that escaped the per-term guards (e.g. the chaos
-            // PAR_WORKER or FANOUT site) degrades Steps II–IV wholesale.
-            diag.degrade(
-                "",
-                Stage::PolysemyDetection,
-                format!("fan-out panicked: {msg}; steps II–IV skipped for all terms"),
-            );
-            terms.extend(
-                remaining
-                    .iter()
-                    .map(|r| truncated_report(&r.surface, r.score)),
-            );
-        } else if !remaining.is_empty() {
-            if let Some(trip) = gov.check_hard() {
-                // Hard trip mid-fan-out: keep the completed prefix, give
-                // the rest score-only truncated reports.
-                record_trip(&gov, &mut diag, trip, Stage::SenseInduction, FANOUT_STEPS);
-                terms.extend(
-                    remaining
-                        .iter()
-                        .map(|r| truncated_report(&r.surface, r.score)),
-                );
-            } else {
-                // Soft stage-deadline trip: re-run the remaining terms
-                // under the cheapest Step-III configuration with Step IV
-                // skipped, on a fresh stage clock.
-                record_trip(
-                    &gov,
-                    &mut diag,
-                    TripKind::StageDeadline,
-                    Stage::SenseInduction,
-                    &[],
-                );
-                diag.degrade(
-                    "",
-                    Stage::SenseInduction,
-                    format!(
-                        "stage deadline: {} term(s) re-run with the cheapest induction, linkage skipped",
-                        remaining.len()
-                    ),
-                );
-                gov.begin_stage();
-                let cheap = SenseInducer::with_index(
-                    corpus,
-                    self.config.senses.cheapest(),
-                    Arc::clone(&occ),
-                );
-                let stop_hard = || gov.check_hard().is_some();
-                let cheap_fan = catch_unwind(AssertUnwindSafe(|| {
-                    boe_par::try_par_map(remaining, &stop_hard, |r| {
-                        self.process_term(corpus, r, detector.as_ref(), &features, &cheap, None)
-                    })
-                }));
-                match cheap_fan {
-                    Ok(o) => {
-                        let partial = o.into_results();
-                        let cheap_done = partial.len();
-                        for out in partial {
-                            detect_time += out.detect;
-                            induce_time += out.induce;
-                            diag.degraded.extend(out.degraded);
-                            terms.extend(out.report);
-                        }
-                        let rest = &remaining[cheap_done..];
-                        if !rest.is_empty() {
-                            if let Some(trip) = gov.check_hard() {
-                                record_trip(
-                                    &gov,
-                                    &mut diag,
-                                    trip,
-                                    Stage::SenseInduction,
-                                    FANOUT_STEPS,
-                                );
-                            }
-                            terms
-                                .extend(rest.iter().map(|r| truncated_report(&r.surface, r.score)));
-                        }
-                    }
-                    Err(payload) => {
-                        diag.degrade(
-                            "",
-                            Stage::SenseInduction,
-                            format!("cheap fan-out panicked: {}", panic_message(payload)),
-                        );
-                        terms.extend(
-                            remaining
-                                .iter()
-                                .map(|r| truncated_report(&r.surface, r.score)),
-                        );
-                    }
-                }
-            }
+        if run.pending.is_empty() {
+            return Ok(());
         }
+        hard_checkpoint(gov, Stage::SenseInduction, FANOUT_STEPS)?;
 
-        for (stage, elapsed) in [
-            (Stage::PolysemyDetection, detect_time),
-            (Stage::SenseInduction, induce_time),
-            (Stage::SemanticLinkage, link_time),
-        ] {
-            diag.timings.push(StageTiming { stage, elapsed });
+        // Soft stage-deadline trip: re-run the remaining terms under the
+        // cheapest Step-III configuration with Step IV skipped, on a
+        // fresh stage clock.
+        run.record_trip(gov, TripKind::StageDeadline, Stage::SenseInduction, &[]);
+        let reason = format!(
+            "stage deadline: {} term(s) re-run with the cheapest induction, linkage skipped",
+            run.pending.len()
+        );
+        run.diag.degrade("", Stage::SenseInduction, reason);
+        gov.begin_stage();
+        let cheap =
+            SenseInducer::with_index(corpus, self.config.senses.cheapest(), Arc::clone(&occ));
+        let cheap_pass = run.fan_out(&|| gov.check_hard().is_some(), |r| {
+            self.process_term(corpus, r, detector, &features, &cheap, None)
+        });
+        if let Err(msg) = cheap_pass {
+            let reason = format!("cheap fan-out panicked: {msg}");
+            run.diag.degrade("", Stage::SenseInduction, reason);
+        } else if !run.pending.is_empty() {
+            hard_checkpoint(gov, Stage::SenseInduction, FANOUT_STEPS)?;
         }
-
-        // Report assembly, with a final late-trip poll so a budget that
-        // tripped after the last fan-out item still reaches the caller.
-        guarded_stage(Stage::Reporting, || {
-            boe_chaos::inject(boe_chaos::sites::REPORT)
-        })?;
-        if diag.hard_trip().is_none() {
-            if let Some(trip) = gov.check_hard() {
-                record_trip(&gov, &mut diag, trip, Stage::Reporting, &[]);
-            }
-        }
-        Ok(EnrichmentReport {
-            terms,
-            already_known,
-            diagnostics: diag,
-        })
+        Ok(())
     }
 
     /// Steps II–IV for one candidate term. `linker` is `None` in the
@@ -537,9 +393,10 @@ impl EnrichmentPipeline {
         out.induce = t0.elapsed();
 
         // Step IV: a failure omits the propositions.
-        let t0 = Instant::now();
-        let propositions = match linker {
-            Some(l) => guarded_term(
+        let mut propositions = Vec::new();
+        if let Some(l) = linker {
+            let t0 = Instant::now();
+            propositions = guarded_term(
                 &mut out.degraded,
                 Stage::SemanticLinkage,
                 &r.surface,
@@ -548,10 +405,9 @@ impl EnrichmentPipeline {
                     l.propose(&r.surface)
                 },
                 Vec::new,
-            ),
-            None => Vec::new(),
-        };
-        out.link = t0.elapsed();
+            );
+            out.link = t0.elapsed();
+        }
 
         out.report = Some(TermReport {
             surface: r.surface.clone(),
@@ -626,40 +482,12 @@ const FANOUT_STEPS: &[Stage] = &[
     Stage::SemanticLinkage,
 ];
 
-/// Record a budget trip in the diagnostics with the governor's measured
-/// value and limit, naming the stages the trip truncates.
-fn record_trip(
-    gov: &Governor,
-    diag: &mut RunDiagnostics,
-    kind: TripKind,
-    stage: Stage,
-    truncated: &[Stage],
-) {
-    let (measured, limit) = gov.describe(kind);
-    let detail = match kind {
-        TripKind::Deadline => "wall-clock deadline exceeded",
-        TripKind::StageDeadline => "stage exceeded its soft deadline",
-        TripKind::Cancelled => "cancellation requested",
-        TripKind::AllocBudget => "allocation budget exhausted",
-    };
-    diag.trip(
-        BudgetTrip {
-            kind,
-            stage,
-            detail: detail.to_owned(),
-            measured,
-            limit,
-        },
-        truncated.iter().copied(),
-    );
-}
-
 /// A score-only report for a term whose Steps II–IV were truncated by a
 /// hard budget trip (or a wholesale fan-out failure).
-fn truncated_report(surface: &str, score: f64) -> TermReport {
+fn truncated_report(r: RankedTerm) -> TermReport {
     TermReport {
-        surface: surface.to_owned(),
-        term_score: score,
+        surface: r.surface,
+        term_score: r.score,
         polysemic: false,
         senses: InducedSenses {
             k: 1,
@@ -669,6 +497,112 @@ fn truncated_report(surface: &str, score: f64) -> TermReport {
         },
         propositions: Vec::new(),
         truncated: true,
+    }
+}
+
+/// A hard-budget checkpoint: ends the stage sequence if a hard budget
+/// has tripped, naming the stage it fired at and the steps it truncates.
+fn hard_checkpoint(gov: &Governor, stage: Stage, truncates: &'static [Stage]) -> Result<(), Halt> {
+    match gov.check_hard() {
+        Some(kind) => Err(Halt::Tripped(kind, stage, truncates)),
+        None => Ok(()),
+    }
+}
+
+/// Why the stage sequence ended before its last stage.
+enum Halt {
+    /// Unusable input or a corpus-wide stage failure: the run fails.
+    Failed(EnrichError),
+    /// A hard budget trip (kind, stage it fired at, steps it truncates):
+    /// the run still returns its partial report.
+    Tripped(TripKind, Stage, &'static [Stage]),
+}
+
+impl From<EnrichError> for Halt {
+    fn from(e: EnrichError) -> Self {
+        Halt::Failed(e)
+    }
+}
+
+/// What a governed run has produced so far. Terms move from `pending`
+/// to `terms` as the fan-out finishes them; the exit in
+/// [`EnrichmentPipeline::run_governed`] truncates whatever is left.
+#[derive(Default)]
+struct RunState {
+    diag: RunDiagnostics,
+    /// Step-I candidates the ontology already holds.
+    already_known: Vec<String>,
+    /// Finished term reports, in term order.
+    terms: Vec<TermReport>,
+    /// New terms whose Steps II–IV have not run, in term order.
+    pending: Vec<RankedTerm>,
+}
+
+impl RunState {
+    /// Record a budget trip in the diagnostics with the governor's
+    /// measured value and limit, naming the stages the trip truncates.
+    fn record_trip(&mut self, gov: &Governor, kind: TripKind, stage: Stage, truncated: &[Stage]) {
+        let (measured, limit) = gov.describe(kind);
+        let detail = match kind {
+            TripKind::Deadline => "wall-clock deadline exceeded",
+            TripKind::StageDeadline => "stage exceeded its soft deadline",
+            TripKind::Cancelled => "cancellation requested",
+            TripKind::AllocBudget => "allocation budget exhausted",
+        };
+        let trip = BudgetTrip {
+            kind,
+            stage,
+            detail: detail.to_owned(),
+            measured,
+            limit,
+        };
+        self.diag.trip(trip, truncated.iter().copied());
+    }
+
+    /// Add `elapsed` to `stage`'s timing. Every stage that began gets
+    /// exactly one entry, and stages begin in workflow order.
+    fn time(&mut self, stage: Stage, elapsed: Duration) {
+        match self.diag.timings.iter_mut().find(|t| t.stage == stage) {
+            Some(t) => t.elapsed += elapsed,
+            None => self.diag.timings.push(StageTiming { stage, elapsed }),
+        }
+    }
+
+    /// One Steps II–IV pass over the pending terms, fanned out across
+    /// threads (`boe-par`): each term is independent given the detector,
+    /// inducer and linker that `process` closes over. Outcomes come back
+    /// in term order, so reports, degradations (term order, stage order
+    /// within a term) and timing sums are identical to the serial loop
+    /// at any thread count. `stop` is polled before every term; the
+    /// terms after the deterministic completed prefix stay pending. A
+    /// panic that escapes the per-term guards (e.g. the chaos FANOUT or
+    /// PAR_WORKER site) leaves every term pending and returns its message.
+    fn fan_out(
+        &mut self,
+        stop: &(impl Fn() -> bool + Sync),
+        process: impl Fn(&RankedTerm) -> TermOutcome + Sync,
+    ) -> Result<(), String> {
+        let fan = catch_unwind(AssertUnwindSafe(|| {
+            boe_chaos::inject(boe_chaos::sites::FANOUT);
+            boe_par::try_par_map(&self.pending, stop, process)
+        }));
+        let (outcomes, result) = match fan {
+            Ok(o) => (o.into_results(), Ok(())),
+            Err(payload) => (Vec::new(), Err(panic_message(payload))),
+        };
+        self.pending.drain(..outcomes.len());
+        let mut spent = [Duration::ZERO; 3];
+        for o in outcomes {
+            spent[0] += o.detect;
+            spent[1] += o.induce;
+            spent[2] += o.link;
+            self.diag.degraded.extend(o.degraded);
+            self.terms.extend(o.report);
+        }
+        for (&stage, elapsed) in FANOUT_STEPS.iter().zip(spent) {
+            self.time(stage, elapsed);
+        }
+        result
     }
 }
 

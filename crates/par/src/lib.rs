@@ -13,10 +13,6 @@
 //!   its chunk independently, and results are reassembled **in input
 //!   order** — the output `Vec` is identical to the serial
 //!   `items.iter().map(f).collect()` for any pure `f`;
-//! * reductions ([`par_map_reduce`]) fold the mapped values serially in
-//!   index order, so floating-point accumulation associates exactly as
-//!   the serial loop would — results are bit-identical, not merely
-//!   "close";
 //! * a worker panic is re-raised on the calling thread (first panicking
 //!   chunk in index order), matching the serial behaviour under
 //!   `catch_unwind`.
@@ -30,10 +26,10 @@
 //!
 //! ## Cooperative early exit
 //!
-//! The `try_*` combinators ([`try_par_map`], [`try_par_map_indexed`],
-//! [`try_par_map_reduce`]) additionally poll a caller-supplied stop
-//! predicate **before every item**. When it first returns `true` the
-//! workers stop and the call returns [`ParOutcome::Interrupted`] holding
+//! The `try_*` combinators ([`try_par_map`], [`try_par_map_indexed`])
+//! additionally poll a caller-supplied stop predicate **before every
+//! item**. When it first returns `true` the workers stop and the call
+//! returns [`ParOutcome::Interrupted`] holding
 //! the **deterministic completed prefix**: the longest contiguous run of
 //! leading items that finished. Because chunks are contiguous and
 //! reassembly is in order, that prefix is always bit-identical to the
@@ -120,20 +116,11 @@ impl<U> ParOutcome<U> {
     }
 }
 
-/// Map `f` over `0..n` in parallel, returning results in index order.
-///
-/// Bit-identical to `(0..n).map(f).collect()` for pure `f`.
-pub fn par_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    par_map_indexed_min(n, MIN_PARALLEL_ITEMS, f)
-}
-
-/// [`par_map_indexed`] with a custom serial threshold: runs serially
-/// unless `n >= min_items`. Use a high threshold for cheap per-item work
-/// (e.g. a single dot product) where thread-spawn overhead would win.
+/// Map `f` over `0..n` in parallel, returning results in index order;
+/// bit-identical to `(0..n).map(f).collect()` for pure `f`. Runs
+/// serially unless `n >= min_items`: use a high threshold for cheap
+/// per-item work (e.g. a single dot product) where thread-spawn
+/// overhead would win.
 pub fn par_map_indexed_min<U, F>(n: usize, min_items: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -146,7 +133,7 @@ where
     }
 }
 
-/// [`par_map_indexed`] with cooperative cancellation: `should_stop` is
+/// [`par_map_indexed_min`] with cooperative cancellation: `should_stop` is
 /// polled before every item; once it returns `true` the workers wind
 /// down and the deterministic completed prefix is returned. The
 /// predicate must be monotonic (once `true`, stay `true`) for the
@@ -246,7 +233,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_indexed(items.len(), |i| f(&items[i]))
+    par_map_indexed_min(items.len(), MIN_PARALLEL_ITEMS, |i| f(&items[i]))
 }
 
 /// [`par_map`] with a custom serial threshold (see
@@ -260,20 +247,6 @@ where
     par_map_indexed_min(items.len(), min_items, |i| f(&items[i]))
 }
 
-/// Map in parallel, then fold the mapped values **serially in index
-/// order** — the reduction associates exactly like the serial
-/// `items.iter().map(map).fold(init, fold)`, so floating-point sums are
-/// bit-identical to the serial loop at any thread count.
-pub fn par_map_reduce<T, U, A, M, R>(items: &[T], map: M, init: A, fold: R) -> A
-where
-    T: Sync,
-    U: Send,
-    M: Fn(&T) -> U + Sync,
-    R: FnMut(A, U) -> A,
-{
-    par_map(items, map).into_iter().fold(init, fold)
-}
-
 /// [`par_map`] with cooperative cancellation (see
 /// [`try_par_map_indexed`]): returns the deterministic completed prefix
 /// when `should_stop` fires mid-run.
@@ -285,49 +258,6 @@ where
     S: Fn() -> bool + Sync,
 {
     try_par_map_indexed(items.len(), should_stop, |i| f(&items[i]))
-}
-
-/// Result of a cancellable map-reduce: the fold over however many items
-/// completed before the stop predicate fired.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReduceOutcome<A> {
-    /// The folded accumulator over items `0..consumed`.
-    pub value: A,
-    /// How many leading items were mapped and folded.
-    pub consumed: usize,
-    /// Whether the stop predicate cut the run short
-    /// (`consumed < items.len()`).
-    pub interrupted: bool,
-}
-
-/// [`par_map_reduce`] with cooperative cancellation: maps with early
-/// exit, then folds the deterministic completed prefix serially in index
-/// order. The partial fold is bit-identical to the serial loop stopped
-/// after [`ReduceOutcome::consumed`] items.
-pub fn try_par_map_reduce<T, U, A, M, R, S>(
-    items: &[T],
-    should_stop: &S,
-    map: M,
-    init: A,
-    fold: R,
-) -> ReduceOutcome<A>
-where
-    T: Sync,
-    U: Send,
-    M: Fn(&T) -> U + Sync,
-    R: FnMut(A, U) -> A,
-    S: Fn() -> bool + Sync,
-{
-    let (mapped, interrupted) = match try_par_map(items, should_stop, map) {
-        ParOutcome::Complete(v) => (v, false),
-        ParOutcome::Interrupted { prefix } => (prefix, true),
-    };
-    let consumed = mapped.len();
-    ReduceOutcome {
-        value: mapped.into_iter().fold(init, fold),
-        consumed,
-        interrupted,
-    }
 }
 
 #[cfg(test)]
@@ -360,30 +290,10 @@ mod tests {
     #[test]
     fn par_map_indexed_matches_serial() {
         let serial: Vec<String> = (0..77).map(|i| format!("#{i}")).collect();
-        let par = with_threads(4, || par_map_indexed(77, |i| format!("#{i}")));
+        let par = with_threads(4, || {
+            par_map_indexed_min(77, MIN_PARALLEL_ITEMS, |i| format!("#{i}"))
+        });
         assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn float_reduction_is_bit_identical() {
-        // A sum whose value depends on association order: different
-        // magnitudes so (a+b)+c != a+(b+c) in general.
-        let items: Vec<f64> = (0..10_000)
-            .map(|i| {
-                if i % 3 == 0 {
-                    1e16
-                } else {
-                    1.0 + i as f64 * 1e-7
-                }
-            })
-            .collect();
-        let serial = items.iter().map(|&x| x * 1.5).fold(0.0f64, |a, x| a + x);
-        for nt in [1, 2, 5, 16] {
-            let par = with_threads(nt, || {
-                par_map_reduce(&items, |&x| x * 1.5, 0.0f64, |a, x| a + x)
-            });
-            assert_eq!(serial.to_bits(), par.to_bits(), "threads = {nt}");
-        }
     }
 
     #[test]
@@ -391,7 +301,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(with_threads(8, || par_map(&empty, |&x| x)).is_empty());
         assert_eq!(with_threads(8, || par_map(&[41u32], |&x| x + 1)), vec![42]);
-        assert_eq!(par_map_reduce(&empty, |&x: &u32| x, 7u32, |a, x| a + x), 7);
     }
 
     #[test]
@@ -443,7 +352,7 @@ mod tests {
     fn chunks_cover_uneven_splits() {
         // n not divisible by worker count.
         for n in [2usize, 3, 7, 13, 97] {
-            let out = with_threads(4, || par_map_indexed(n, |i| i));
+            let out = with_threads(4, || par_map_indexed_min(n, MIN_PARALLEL_ITEMS, |i| i));
             assert_eq!(out, (0..n).collect::<Vec<usize>>(), "n = {n}");
         }
     }
@@ -492,24 +401,6 @@ mod tests {
             assert!(prefix.len() < items.len(), "threads = {nt}");
             assert_eq!(prefix, serial[..prefix.len()], "threads = {nt}");
         }
-    }
-
-    #[test]
-    fn try_reduce_partial_fold_matches_serial_prefix() {
-        use std::sync::atomic::AtomicUsize;
-        let items: Vec<f64> = (0..80).map(|i| 1.0 + i as f64 * 1e-3).collect();
-        let polls = AtomicUsize::new(0);
-        let stop = || polls.fetch_add(1, Ordering::SeqCst) >= 12;
-        let out = with_threads(4, || {
-            try_par_map_reduce(&items, &stop, |&x| x * 2.0, 0.0f64, |a, x| a + x)
-        });
-        assert!(out.interrupted);
-        assert!(out.consumed < items.len());
-        let serial = items[..out.consumed]
-            .iter()
-            .map(|&x| x * 2.0)
-            .fold(0.0f64, |a, x| a + x);
-        assert_eq!(out.value.to_bits(), serial.to_bits());
     }
 
     #[test]

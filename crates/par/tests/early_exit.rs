@@ -1,5 +1,5 @@
 //! Property tests for the cooperative early-exit contract of
-//! `try_par_map` / `try_par_map_reduce`:
+//! `try_par_map`:
 //!
 //! * an interrupted run always returns a contiguous *leading* prefix of
 //!   the serial output, bit-identical item by item, at any thread count;
@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use boe_par::{set_threads, try_par_map, try_par_map_reduce, ParOutcome};
+use boe_par::{set_threads, try_par_map, ParOutcome};
 use boe_rng::StdRng;
 
 /// `set_threads` is process-global; serialize every test in this file.
@@ -73,29 +73,6 @@ fn stop_already_true_yields_empty_prefix_at_any_thread_count() {
             ParOutcome::Interrupted { prefix: Vec::new() },
             "threads = {nt}"
         );
-    }
-}
-
-#[test]
-fn reduce_prefix_fold_is_bit_identical_to_serial() {
-    let items: Vec<f64> = (0..150).map(|i| 1.0 + (i as f64).sqrt() * 1e-3).collect();
-    for nt in [1usize, 4, 8] {
-        let polls = AtomicUsize::new(0);
-        let stop = || polls.fetch_add(1, Ordering::SeqCst) >= 25;
-        let out = with_threads(nt, || {
-            try_par_map_reduce(&items, &stop, |&x| x * x, 0.0f64, |a, x| a + x)
-        });
-        let serial = items[..out.consumed]
-            .iter()
-            .map(|&x| x * x)
-            .fold(0.0f64, |a, x| a + x);
-        assert_eq!(
-            out.value.to_bits(),
-            serial.to_bits(),
-            "threads = {nt}, consumed = {}",
-            out.consumed
-        );
-        assert_eq!(out.interrupted, out.consumed < items.len());
     }
 }
 

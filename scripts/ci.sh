@@ -46,4 +46,9 @@ run timeout "$TEST_TIMEOUT" cargo test -q --offline --test chaos_matrix
 run cargo test -q --offline -p boe-corpus --test occurrence_index_equality
 run cargo test -q --offline --test occurrence_equality
 
+# End-to-end benchmark's own tests (its own workspace): among them, the
+# traced replay and `EnrichmentPipeline::run` must give the same report
+# fingerprint at 1 thread and at every available thread.
+run timeout "$TEST_TIMEOUT" cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "ci: all checks passed"

@@ -16,6 +16,10 @@
 //! processed term so both thread counts keep the identical one-term
 //! prefix. Everything lives in one `#[test]` because the chaos plan and
 //! the thread-count override are process-global.
+//!
+//! Comparing 1 thread against 8 cannot catch a change that moves both
+//! sides the same way, so every stall run is also checked against
+//! [`STALL_EXITS`], a literal table of where each governed exit lands.
 
 use bio_onto_enrich::chaos::{self, sites, ChaosPlan, FaultMode};
 use bio_onto_enrich::eval::world::{World, WorldConfig};
@@ -32,6 +36,138 @@ const STALL_MS: u64 = 1200;
 /// Wall-clock budget for stall combinations; must comfortably exceed
 /// the natural (un-stalled) runtime of the matrix world.
 const DEADLINE_MS: u64 = 400;
+
+/// The governed exit of one stall run, pinned literally.
+struct StallExit {
+    /// The stalled injection site.
+    site: &'static str,
+    /// Recorded trips as `kind@Stage`, in firing order.
+    trips: &'static str,
+    /// `diagnostics.truncated`, in workflow order.
+    truncated_stages: &'static str,
+    /// Number of term reports.
+    terms: usize,
+    /// How many of those reports are score-only `truncated` ones.
+    truncated_terms: usize,
+    /// Stage list of `diagnostics.timings`.
+    timings: &'static str,
+}
+
+const ALL_STEPS: &str = "TermExtraction|PolysemyDetection|SenseInduction|SemanticLinkage";
+const FANOUT_STAGES: &str = "PolysemyDetection|SenseInduction|SemanticLinkage";
+
+/// One row per stall site. A stall at the Step III/IV set-up keeps the
+/// set-up's `SenseInduction` timing: every stage that began is timed.
+const STALL_EXITS: &[StallExit] = &[
+    StallExit {
+        site: "pipeline.validate",
+        trips: "deadline@Validation",
+        truncated_stages: ALL_STEPS,
+        terms: 0,
+        truncated_terms: 0,
+        timings: "",
+    },
+    StallExit {
+        site: "pipeline.step1",
+        trips: "deadline@TermExtraction",
+        truncated_stages: ALL_STEPS,
+        terms: 0,
+        truncated_terms: 0,
+        timings: "TermExtraction",
+    },
+    StallExit {
+        site: "termex.candidates",
+        trips: "deadline@TermExtraction",
+        truncated_stages: ALL_STEPS,
+        terms: 0,
+        truncated_terms: 0,
+        timings: "TermExtraction",
+    },
+    StallExit {
+        site: "pipeline.step2.train",
+        trips: "deadline@PolysemyDetection",
+        truncated_stages: FANOUT_STAGES,
+        terms: 25,
+        truncated_terms: 25,
+        timings: "TermExtraction|PolysemyDetection",
+    },
+    StallExit {
+        site: "pipeline.step34.setup",
+        trips: "deadline@SenseInduction",
+        truncated_stages: FANOUT_STAGES,
+        terms: 25,
+        truncated_terms: 25,
+        timings: "TermExtraction|PolysemyDetection|SenseInduction",
+    },
+    StallExit {
+        site: "pipeline.fanout",
+        trips: "deadline@SenseInduction",
+        truncated_stages: FANOUT_STAGES,
+        terms: 25,
+        truncated_terms: 25,
+        timings: ALL_STEPS,
+    },
+    StallExit {
+        site: "term.detect",
+        trips: "deadline@SenseInduction",
+        truncated_stages: FANOUT_STAGES,
+        terms: 25,
+        truncated_terms: 24,
+        timings: ALL_STEPS,
+    },
+    StallExit {
+        site: "term.induce",
+        trips: "deadline@SenseInduction",
+        truncated_stages: FANOUT_STAGES,
+        terms: 25,
+        truncated_terms: 24,
+        timings: ALL_STEPS,
+    },
+    StallExit {
+        site: "term.link",
+        trips: "deadline@SenseInduction",
+        truncated_stages: FANOUT_STAGES,
+        terms: 25,
+        truncated_terms: 24,
+        timings: ALL_STEPS,
+    },
+    StallExit {
+        site: "pipeline.report",
+        trips: "deadline@Reporting",
+        truncated_stages: "",
+        terms: 25,
+        truncated_terms: 0,
+        timings: ALL_STEPS,
+    },
+    StallExit {
+        site: "par.worker",
+        trips: "deadline@TermExtraction",
+        truncated_stages: ALL_STEPS,
+        terms: 0,
+        truncated_terms: 0,
+        timings: "TermExtraction",
+    },
+];
+
+/// The [`StallExit`] fields an outcome produces, in declaration order.
+type ExitRow = (String, String, usize, usize, String);
+
+fn stall_exit(report: &EnrichmentReport) -> ExitRow {
+    let d = &report.diagnostics;
+    let join = |v: Vec<String>| v.join("|");
+    (
+        join(
+            d.trips
+                .iter()
+                .map(|t| format!("{}@{:?}", t.kind, t.stage))
+                .collect(),
+        ),
+        join(d.truncated.iter().map(|s| format!("{s:?}")).collect()),
+        report.terms.len(),
+        report.terms.iter().filter(|t| t.truncated).count(),
+        join(d.timings.iter().map(|t| format!("{:?}", t.stage)).collect()),
+    )
+}
 
 fn world() -> World {
     World::generate(&WorldConfig {
@@ -163,6 +299,24 @@ fn every_site_and_mode_degrades_cleanly_and_deterministically() {
                         failures.push(format!("{combo}: unexpected error {e}"));
                     }
                     _ => {}
+                }
+                if let (Ok(report), FaultMode::Stall) = (&outcome, mode) {
+                    let got = stall_exit(report);
+                    let want = STALL_EXITS.iter().find(|r| r.site == site).map(|r| {
+                        let (trips, stages) = (r.trips.to_owned(), r.truncated_stages.to_owned());
+                        (
+                            trips,
+                            stages,
+                            r.terms,
+                            r.truncated_terms,
+                            r.timings.to_owned(),
+                        )
+                    });
+                    if want.as_ref() != Some(&got) {
+                        failures.push(format!(
+                            "{combo}: governed exit moved\n  want {want:?}\n  got  {got:?}"
+                        ));
+                    }
                 }
                 sigs.push(signature(&outcome));
             }
