@@ -41,6 +41,7 @@ use crate::termex::{RankedTerm, TermExtractor, TermMeasure};
 use boe_corpus::occurrence::{OccurrenceIndex, OccurrenceResolution};
 use boe_corpus::Corpus;
 use boe_ontology::Ontology;
+use boe_textkit::TokenId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -433,18 +434,21 @@ impl EnrichmentPipeline {
         features: &FeatureContext<'_>,
         diag: &mut RunDiagnostics,
     ) -> Option<PolysemyDetector> {
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for (surface, concepts) in ontology.terms() {
-            let Some(tokens) = corpus.phrase_ids(surface) else {
-                continue;
-            };
-            if !occ.contains(corpus, &tokens) {
-                continue;
-            }
-            rows.push(features.features(&tokens, surface));
-            labels.push(concepts.len() >= 2);
-        }
+        let usable: Vec<(&str, Vec<TokenId>, bool)> = ontology
+            .terms()
+            .into_iter()
+            .filter_map(|(surface, concepts)| {
+                let tokens = corpus.phrase_ids(surface)?;
+                let polysemic = concepts.len() >= 2;
+                occ.contains(corpus, &tokens)
+                    .then_some((surface, tokens, polysemic))
+            })
+            .collect();
+        // Rows are independent; `par_map` returns them in ontology order.
+        let rows = boe_par::par_map(&usable, |(surface, tokens, _)| {
+            features.features(tokens, surface)
+        });
+        let labels: Vec<bool> = usable.iter().map(|&(_, _, l)| l).collect();
         let pos = labels.iter().filter(|&&l| l).count();
         if pos == 0 || pos == labels.len() || labels.len() < 4 {
             diag.detector = DetectorOutcome::Fallback {

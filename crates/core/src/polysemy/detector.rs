@@ -104,7 +104,7 @@ impl<'c> FeatureContext<'c> {
     /// [`OccurrenceIndex`] (one per pipeline run).
     pub fn build_with_index(corpus: &'c Corpus, occ: Arc<OccurrenceIndex>) -> Self {
         let cooc = CoocCounts::from_corpus(corpus, 5);
-        let graph = TermGraphContext::build(corpus, &cooc, 1);
+        let graph = TermGraphContext::build(&cooc, 1);
         FeatureContext {
             corpus,
             occ,

@@ -58,9 +58,7 @@ pub fn direct_features(
     // pool over all component words).
     let mut neighbour_counts: Vec<u32> = Vec::new();
     for &t in phrase {
-        for (_, c) in cooc.neighbours(t) {
-            neighbour_counts.push(c);
-        }
+        neighbour_counts.extend(cooc.neighbours(t).iter().map(|&(_, c)| c));
     }
     let diversity = neighbour_counts.len() as f64;
     let total: f64 = neighbour_counts.iter().map(|&c| f64::from(c)).sum();

@@ -8,7 +8,6 @@
 //! ego graph (minus the term itself) is high.
 
 use boe_corpus::stats::CoocCounts;
-use boe_corpus::Corpus;
 use boe_graph::builder::GraphBuilder;
 use boe_graph::community::{community_count, label_propagation, modularity};
 use boe_graph::components::connected_components;
@@ -17,6 +16,8 @@ use boe_graph::metrics::{average_clustering, density, local_clustering};
 use boe_graph::pagerank::{pagerank, PageRankParams};
 use boe_graph::{Graph, NodeId};
 use boe_textkit::TokenId;
+use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Names of the 12 graph features, index-aligned with [`graph_features`].
 pub const GRAPH_FEATURE_NAMES: [&str; 12] = [
@@ -39,16 +40,19 @@ pub const GRAPH_FEATURE_NAMES: [&str; 12] = [
 #[derive(Debug)]
 pub struct TermGraphContext {
     graph: Graph,
-    node_of: std::collections::HashMap<TokenId, NodeId>,
+    node_of: HashMap<TokenId, NodeId>,
     pagerank: Vec<f64>,
     cores: Vec<u32>,
+    /// Each node's 12 features, computed the first time a term asks for
+    /// them: the features depend only on the representative node, and
+    /// many terms (training and candidates alike) share one.
+    memo: Vec<OnceLock<[f64; 12]>>,
 }
 
 impl TermGraphContext {
     /// Build the induced graph from windowed co-occurrence counts,
     /// keeping pairs with count ≥ `min_cooc`.
-    pub fn build(corpus: &Corpus, cooc: &CoocCounts, min_cooc: u32) -> Self {
-        let _ = corpus; // the corpus fixes the vocabulary the counts use
+    pub fn build(cooc: &CoocCounts, min_cooc: u32) -> Self {
         let mut b = GraphBuilder::new();
         for ((a, bb), c) in cooc.iter_pairs() {
             if c >= min_cooc {
@@ -63,11 +67,13 @@ impl TermGraphContext {
             .collect();
         let pr = pagerank(&graph, PageRankParams::default());
         let cores = core_numbers(&graph);
+        let memo = (0..graph.node_count()).map(|_| OnceLock::new()).collect();
         TermGraphContext {
             graph,
             node_of,
             pagerank: pr,
             cores,
+            memo,
         }
     }
 
@@ -92,9 +98,14 @@ pub fn graph_features(ctx: &TermGraphContext, phrase: &[TokenId]) -> [f64; 12] {
         .iter()
         .filter_map(|&t| ctx.node(t))
         .max_by_key(|&n| ctx.graph.degree(n));
-    let Some(v) = node else {
-        return [0.0; 12];
-    };
+    match node {
+        Some(v) => *ctx.memo[v.index()].get_or_init(|| node_features(ctx, v)),
+        None => [0.0; 12],
+    }
+}
+
+/// The 12 graph features of node `v`.
+fn node_features(ctx: &TermGraphContext, v: NodeId) -> [f64; 12] {
     let g = &ctx.graph;
     let degree = g.degree(v) as f64;
     let wdegree = g.weighted_degree(v);
@@ -117,22 +128,6 @@ pub fn graph_features(ctx: &TermGraphContext, phrase: &[TokenId]) -> [f64; 12] {
     } else {
         ego_nodes.iter().map(|&u| g.degree(u) as f64).sum::<f64>() / ego_nodes.len() as f64
     };
-    // Two-hop expansion: |N2(v)| / |N1(v)| — polysemic hubs reach more.
-    let two_hop = {
-        let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-        for &u in &ego_nodes {
-            for &(w, _) in g.neighbours(u) {
-                if w != v && !ego_nodes.contains(&w) {
-                    seen.insert(w);
-                }
-            }
-        }
-        if ego_nodes.is_empty() {
-            0.0
-        } else {
-            seen.len() as f64 / ego_nodes.len() as f64
-        }
-    };
 
     [
         degree,
@@ -146,14 +141,34 @@ pub fn graph_features(ctx: &TermGraphContext, phrase: &[TokenId]) -> [f64; 12] {
         pr,
         core,
         mean_nb_deg,
-        two_hop,
+        two_hop_expansion(g, v),
     ]
+}
+
+/// Two-hop expansion |N2(v)| / |N1(v)|, where N2 holds the nodes two
+/// hops from `v` that are neither `v` nor its neighbours — polysemic hubs
+/// reach more.
+fn two_hop_expansion(g: &Graph, v: NodeId) -> f64 {
+    let ego = g.neighbours(v);
+    if ego.is_empty() {
+        return 0.0;
+    }
+    let mut seen: HashSet<NodeId> = HashSet::new();
+    for &(u, _) in ego {
+        for &(w, _) in g.neighbours(u) {
+            if w != v && !g.has_edge(v, w) {
+                seen.insert(w);
+            }
+        }
+    }
+    seen.len() as f64 / ego.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use boe_corpus::corpus::CorpusBuilder;
+    use boe_corpus::Corpus;
     use boe_textkit::Language;
 
     fn setup(texts: &[&str]) -> (Corpus, TermGraphContext) {
@@ -163,7 +178,7 @@ mod tests {
         }
         let c = b.build();
         let cc = CoocCounts::from_corpus(&c, 5);
-        let ctx = TermGraphContext::build(&c, &cc, 1);
+        let ctx = TermGraphContext::build(&cc, 1);
         (c, ctx)
     }
 
@@ -237,5 +252,49 @@ mod tests {
         let phrase = c.phrase_ids("corneal injuries").expect("known");
         let f = graph_features(&ctx, &phrase);
         assert!(f.iter().all(|v| v.is_finite()), "{f:?}");
+    }
+
+    /// The neighbour-list scan the `has_edge` test replaced, kept as the
+    /// equivalence reference.
+    fn two_hop_by_scan(g: &Graph, v: NodeId) -> f64 {
+        let ego_nodes: Vec<NodeId> = g.neighbours(v).iter().map(|&(u, _)| u).collect();
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        for &u in &ego_nodes {
+            for &(w, _) in g.neighbours(u) {
+                if w != v && !ego_nodes.contains(&w) {
+                    seen.insert(w);
+                }
+            }
+        }
+        if ego_nodes.is_empty() {
+            0.0
+        } else {
+            seen.len() as f64 / ego_nodes.len() as f64
+        }
+    }
+
+    #[test]
+    fn two_hop_edge_test_matches_the_neighbour_scan() {
+        // 60 sentences over a 40-word vocabulary: overlapping windows give
+        // a graph with hubs, triangles and open two-hop paths.
+        let texts: Vec<String> = (0..60u32)
+            .map(|i| {
+                let words: Vec<String> = (0..6u32)
+                    .map(|j| format!("word{}", (i * 7 + j * j * 13 + i * j) % 40))
+                    .collect();
+                format!("{}.", words.join(" "))
+            })
+            .collect();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let (_, ctx) = setup(&refs);
+        let g = ctx.graph();
+        assert!(g.node_count() > 20, "{} nodes", g.node_count());
+        let mut expanding = 0;
+        for v in g.nodes() {
+            let fast = two_hop_expansion(g, v);
+            assert_eq!(fast.to_bits(), two_hop_by_scan(g, v).to_bits(), "{v}");
+            expanding += usize::from(fast > 0.0);
+        }
+        assert!(expanding > 0, "no node reaches two hops — vacuous test");
     }
 }

@@ -12,8 +12,10 @@ use std::collections::HashMap;
 /// tokens.
 #[derive(Debug, Clone, Default)]
 pub struct CoocCounts {
-    /// Pair counts keyed by `(min(a,b), max(a,b))`.
-    pairs: HashMap<(TokenId, TokenId), u32>,
+    /// Per-token neighbour lists indexed by token id, each sorted by
+    /// decreasing count then id; every pair appears in both members'
+    /// lists.
+    neighbours: Vec<Vec<(TokenId, u32)>>,
     /// Marginal occurrence counts (over counted tokens only).
     occurrences: HashMap<TokenId, u32>,
     window: usize,
@@ -49,8 +51,20 @@ impl CoocCounts {
                 }
             }
         }
+        // Fold the pair counts into per-token lists; the map is dropped
+        // before the counts are returned, so only the lists stay resident.
+        let n_tokens = occurrences.keys().map(|t| t.index() + 1).max().unwrap_or(0);
+        let mut neighbours: Vec<Vec<(TokenId, u32)>> = vec![Vec::new(); n_tokens];
+        for ((a, b), c) in pairs {
+            neighbours[a.index()].push((b, c));
+            neighbours[b.index()].push((a, c));
+        }
+        for list in &mut neighbours {
+            list.sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+            list.shrink_to_fit();
+        }
         CoocCounts {
-            pairs,
+            neighbours,
             occurrences,
             window,
         }
@@ -63,8 +77,10 @@ impl CoocCounts {
 
     /// Co-occurrence count of an unordered pair.
     pub fn pair(&self, a: TokenId, b: TokenId) -> u32 {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.pairs.get(&key).copied().unwrap_or(0)
+        self.neighbours(a)
+            .iter()
+            .find(|&&(t, _)| t == b)
+            .map_or(0, |&(_, c)| c)
     }
 
     /// Occurrence count of one token (among counted tokens).
@@ -72,35 +88,29 @@ impl CoocCounts {
         self.occurrences.get(&t).copied().unwrap_or(0)
     }
 
-    /// All pairs with their counts, in stable (sorted) order.
+    /// All pairs `((a, b), count)` with `a < b`, in stable (sorted) order.
     pub fn iter_pairs(&self) -> Vec<((TokenId, TokenId), u32)> {
-        let mut v: Vec<_> = self.pairs.iter().map(|(&k, &c)| (k, c)).collect();
+        let mut v = Vec::new();
+        for (i, list) in self.neighbours.iter().enumerate() {
+            let a = TokenId(i as u32);
+            v.extend(
+                list.iter()
+                    .filter(|&&(b, _)| a < b)
+                    .map(|&(b, c)| ((a, b), c)),
+            );
+        }
         v.sort_unstable_by_key(|(k, _)| *k);
         v
     }
 
     /// Number of distinct co-occurring pairs.
     pub fn pair_count(&self) -> usize {
-        self.pairs.len()
+        self.neighbours.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Neighbours of `t` with counts, sorted by decreasing count then id.
-    pub fn neighbours(&self, t: TokenId) -> Vec<(TokenId, u32)> {
-        let mut v: Vec<(TokenId, u32)> = self
-            .pairs
-            .iter()
-            .filter_map(|(&(a, b), &c)| {
-                if a == t {
-                    Some((b, c))
-                } else if b == t {
-                    Some((a, c))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        v.sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-        v
+    pub fn neighbours(&self, t: TokenId) -> &[(TokenId, u32)] {
+        self.neighbours.get(t.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Pointwise mutual information of a pair given total token mass.
@@ -115,7 +125,13 @@ impl CoocCounts {
             return None;
         }
         let total: u64 = self.occurrences.values().map(|&c| u64::from(c)).sum();
-        let total_pairs: u64 = self.pairs.values().map(|&c| u64::from(c)).sum();
+        let total_pairs: u64 = self
+            .neighbours
+            .iter()
+            .flatten()
+            .map(|&(_, c)| u64::from(c))
+            .sum::<u64>()
+            / 2;
         if total == 0 || total_pairs == 0 {
             return None;
         }

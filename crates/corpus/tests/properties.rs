@@ -10,7 +10,7 @@ use boe_corpus::stats::CoocCounts;
 use boe_corpus::weighting::{bm25, idf, Bm25Params};
 use boe_corpus::Corpus;
 use boe_rng::StdRng;
-use boe_textkit::Language;
+use boe_textkit::{Language, TokenId};
 
 const CASES: usize = 60;
 
@@ -98,6 +98,60 @@ fn cooccurrence_is_symmetric_and_bounded() {
             let ca = cc.occurrences(a);
             let cb = cc.occurrences(b);
             assert!(n <= ca.max(1) * window as u32 + cb.max(1) * window as u32);
+        }
+    }
+}
+
+/// Windowed pair counts by a direct scan of every sentence, sorted by
+/// pair: the same counting rule as [`CoocCounts::from_corpus`].
+fn naive_pairs(c: &Corpus, window: usize) -> Vec<((TokenId, TokenId), u32)> {
+    let counted = |s: &boe_corpus::doc::Sentence, i: usize| {
+        s.tags[i].is_term_internal() && !c.is_stopword(s.tokens[i])
+    };
+    let mut counts = std::collections::BTreeMap::new();
+    for doc in c.docs() {
+        for s in &doc.sentences {
+            for i in 0..s.tokens.len() {
+                for j in i + 1..s.tokens.len().min(i + window + 1) {
+                    let (a, b) = (s.tokens[i], s.tokens[j]);
+                    if a != b && counted(s, i) && counted(s, j) {
+                        *counts.entry((a.min(b), a.max(b))).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+    }
+    counts.into_iter().collect()
+}
+
+#[test]
+fn cooccurrence_neighbours_match_a_scan_over_all_pairs() {
+    let mut rng = StdRng::seed_from_u64(14);
+    for _ in 0..CASES {
+        let c = rand_corpus(&mut rng);
+        let window = rng.gen_range(1usize..6);
+        let cc = CoocCounts::from_corpus(&c, window);
+        let pairs = naive_pairs(&c, window);
+        assert_eq!(cc.iter_pairs(), pairs);
+        assert_eq!(cc.pair_count(), pairs.len());
+        for id in 0..c.vocab().len() as u32 + 2 {
+            let t = TokenId(id);
+            // The brute-force reference: filter every pair for `t`, then
+            // order by decreasing count, then id.
+            let mut scan: Vec<(TokenId, u32)> = pairs
+                .iter()
+                .filter_map(|&((a, b), n)| {
+                    if a == t {
+                        Some((b, n))
+                    } else if b == t {
+                        Some((a, n))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            scan.sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+            assert_eq!(cc.neighbours(t), scan.as_slice(), "token {id}");
         }
     }
 }

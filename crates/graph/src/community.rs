@@ -14,25 +14,32 @@ use crate::graph::NodeId;
 pub fn label_propagation(g: &Graph, max_rounds: usize) -> Vec<u32> {
     let n = g.node_count();
     let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut weight_by_label: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+    // Labels are node ids, so one dense accumulator serves every node;
+    // `touched` lists the labels the current node's neighbours carry,
+    // and only those are reset afterwards. Edge weights are positive, so
+    // a zero slot means "not yet touched".
+    let mut weight_by_label = vec![0.0f64; n];
+    let mut touched: Vec<u32> = Vec::new();
     for _ in 0..max_rounds {
         let mut changed = false;
         for v in g.nodes() {
             if g.degree(v) == 0 {
                 continue;
             }
-            weight_by_label.clear();
             for &(u, w) in g.neighbours(v) {
-                *weight_by_label.entry(labels[u.index()]).or_insert(0.0) += w;
+                let l = labels[u.index()];
+                let slot = &mut weight_by_label[l as usize];
+                if *slot == 0.0 {
+                    touched.push(l);
+                }
+                *slot += w;
             }
             // Deterministic argmax: heaviest label, lowest id on ties.
             let mut best = labels[v.index()];
             let mut best_w = f64::NEG_INFINITY;
-            let mut keys: Vec<u32> = weight_by_label.keys().copied().collect();
-            keys.sort_unstable();
-            for l in keys {
-                let w = weight_by_label[&l];
-                if w > best_w {
+            for l in touched.drain(..) {
+                let w = std::mem::take(&mut weight_by_label[l as usize]);
+                if w > best_w || (w == best_w && l < best) {
                     best_w = w;
                     best = l;
                 }
@@ -100,6 +107,82 @@ pub fn modularity(g: &Graph, labels: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boe_rng::StdRng;
+
+    /// The per-node `HashMap` formulation the dense accumulator replaced,
+    /// kept as the equivalence reference.
+    fn label_propagation_reference(g: &Graph, max_rounds: usize) -> Vec<u32> {
+        let n = g.node_count();
+        let mut labels: Vec<u32> = (0..n as u32).collect();
+        let mut weight_by_label: std::collections::HashMap<u32, f64> =
+            std::collections::HashMap::new();
+        for _ in 0..max_rounds {
+            let mut changed = false;
+            for v in g.nodes() {
+                if g.degree(v) == 0 {
+                    continue;
+                }
+                weight_by_label.clear();
+                for &(u, w) in g.neighbours(v) {
+                    *weight_by_label.entry(labels[u.index()]).or_insert(0.0) += w;
+                }
+                let mut best = labels[v.index()];
+                let mut best_w = f64::NEG_INFINITY;
+                let mut keys: Vec<u32> = weight_by_label.keys().copied().collect();
+                keys.sort_unstable();
+                for l in keys {
+                    let w = weight_by_label[&l];
+                    if w > best_w {
+                        best_w = w;
+                        best = l;
+                    }
+                }
+                if best != labels[v.index()] {
+                    labels[v.index()] = best;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        relabel_dense(&labels)
+    }
+
+    /// A seeded random weighted graph; with `tied` every weight is 1 or 2,
+    /// so label weights tie often and the lowest-label rule decides.
+    fn random_graph(rng: &mut StdRng, tied: bool) -> Graph {
+        let n = rng.gen_range(1usize..40);
+        let mut g = Graph::with_nodes(n);
+        for _ in 0..rng.gen_range(0usize..120) {
+            let a = rng.gen_range(0..n as u32);
+            let b = rng.gen_range(0..n as u32);
+            let w = if tied {
+                f64::from(rng.gen_range(1u32..3))
+            } else {
+                0.1 + rng.gen::<f64>() * 2.9
+            };
+            if a != b {
+                g.add_edge(NodeId(a), NodeId(b), w);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn dense_label_propagation_matches_the_hashmap_reference() {
+        let mut rng = StdRng::seed_from_u64(0x1AB);
+        for case in 0..400 {
+            let g = random_graph(&mut rng, case % 2 == 0);
+            for rounds in [1, 20] {
+                assert_eq!(
+                    label_propagation(&g, rounds),
+                    label_propagation_reference(&g, rounds),
+                    "case {case}, {rounds} round(s)"
+                );
+            }
+        }
+    }
 
     /// Two triangles joined by a single weak bridge.
     fn two_cliques() -> Graph {

@@ -51,4 +51,20 @@ run cargo test -q --offline --test occurrence_equality
 # fingerprint at 1 thread and at every available thread.
 run timeout "$TEST_TIMEOUT" cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
+# Absolute golden check: a short run of every e2ebench workload must
+# reproduce the values recorded in e2ebench/expected.txt (the result
+# object's "correct" field), not merely agree with itself across thread
+# counts.
+for workload in extract enrich senses link; do
+    echo "==> e2ebench --workload $workload (golden)"
+    result="$(BOE_CHAOS=off bash e2ebench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    case "$result" in
+        *'"correct":true'*) ;;
+        *)
+            echo "e2ebench $workload: output differs from expected.txt: $result" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "ci: all checks passed"

@@ -7,6 +7,7 @@
 
 use bio_onto_enrich::eval::world::{World, WorldConfig};
 use bio_onto_enrich::par as boe_par;
+use bio_onto_enrich::workflow::diagnostics::DetectorOutcome;
 use bio_onto_enrich::workflow::linkage::{LinkerConfig, SemanticLinker};
 use bio_onto_enrich::workflow::report::EnrichmentReport;
 use bio_onto_enrich::workflow::{EnrichmentPipeline, PipelineConfig};
@@ -16,6 +17,20 @@ fn world() -> World {
         n_concepts: 60,
         n_holdout: 10,
         abstracts_per_concept: 4,
+        seed: 0xD17E,
+        ..Default::default()
+    })
+}
+
+/// The same world with polysemic ontology terms planted, so Step II
+/// trains a detector instead of falling back.
+fn trained_world() -> World {
+    World::generate(&WorldConfig {
+        n_concepts: 60,
+        n_holdout: 10,
+        abstracts_per_concept: 4,
+        n_shared_synonyms: 6,
+        n_ambiguous_new: 4,
         seed: 0xD17E,
         ..Default::default()
     })
@@ -61,6 +76,9 @@ fn assert_reports_identical(a: &EnrichmentReport, b: &EnrichmentReport) {
             .collect::<Vec<_>>()
     };
     assert_eq!(deg(a), deg(b));
+    // The detector's training rows are built in parallel: the example and
+    // positive counts (or the fallback reason) must not move.
+    assert_eq!(a.diagnostics.detector, b.diagnostics.detector);
 }
 
 #[test]
@@ -115,7 +133,36 @@ fn serial_and_parallel_runs_are_bit_identical() {
     let m8 = similarity_matrix(&unit);
     assert_eq!(m1, m8, "similarity matrix diverges across thread counts");
 
+    // A world whose ontology carries polysemic terms, so the comparison
+    // also covers a trained detector.
+    let tw = trained_world();
+    boe_par::set_threads(Some(1));
+    let trained_serial = pipeline
+        .run(&tw.corpus, &tw.reduced_ontology)
+        .expect("valid input");
+    boe_par::set_threads(Some(8));
+    let trained_parallel = pipeline
+        .run(&tw.corpus, &tw.reduced_ontology)
+        .expect("valid input");
+
     boe_par::set_threads(None);
     assert_reports_identical(&serial, &parallel);
     assert!(!serial.terms.is_empty(), "nothing analysed — vacuous test");
+    assert!(
+        matches!(
+            serial.diagnostics.detector,
+            DetectorOutcome::Fallback { .. }
+        ),
+        "{:?}",
+        serial.diagnostics.detector
+    );
+    assert_reports_identical(&trained_serial, &trained_parallel);
+    assert!(
+        matches!(
+            trained_serial.diagnostics.detector,
+            DetectorOutcome::Trained { positives, .. } if positives > 0
+        ),
+        "{:?}",
+        trained_serial.diagnostics.detector
+    );
 }
