@@ -2,8 +2,9 @@
 //!
 //! Implements the paper's **Table 2** — the five new internal indexes for
 //! predicting the number of clusters — plus two classical baselines for
-//! the ablation benches. Notation follows the paper: a clustering with k
-//! clusters has per-cluster `ISIM_i`, `ESIM_i` and sizes `|S_i|`.
+//! the ablations `run_experiments` prints. Notation follows the paper: a
+//! clustering with k clusters has per-cluster `ISIM_i`, `ESIM_i` and
+//! sizes `|S_i|`.
 //!
 //! | index | definition | optimum |
 //! |-------|-----------|---------|

@@ -161,8 +161,8 @@ impl<'c> SemanticLinker<'c> {
     }
 
     /// [`SemanticLinker::propose`] with the original brute-force cosine
-    /// scan (one merge join per position). Kept as the reference
-    /// implementation the inverted-index path is verified against.
+    /// scan (one merge join per position): the test oracle the
+    /// inverted-index path is verified against, with no production caller.
     pub fn propose_naive(&self, candidate: &str) -> Vec<Proposition> {
         let Some(g) = self.gather_positions(candidate) else {
             return Vec::new();

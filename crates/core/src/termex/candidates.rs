@@ -261,8 +261,8 @@ where
 }
 
 /// The original single-threaded extraction with the quadratic
-/// all-pairs nesting scan, kept callable as the reference
-/// implementation for the serial-vs-parallel equality suite.
+/// all-pairs nesting scan: a test oracle for the serial-vs-parallel
+/// equality suite, with no production caller.
 pub fn extract_candidates_serial(corpus: &Corpus, opts: CandidateOptions) -> CandidateSet {
     boe_chaos::inject(boe_chaos::sites::TERMEX_CANDIDATES);
     let patterns = PatternSet::for_language(corpus.language());

@@ -83,8 +83,8 @@ pub fn term_cooccurrence_graph(corpus: &Corpus, set: &CandidateSet) -> Graph {
     g
 }
 
-/// The original single-threaded co-occurrence graph build, kept callable
-/// as the reference implementation for the equality suite.
+/// The original single-threaded co-occurrence graph build: a test oracle
+/// for the equality suite, with no production caller.
 pub fn term_cooccurrence_graph_serial(corpus: &Corpus, set: &CandidateSet) -> Graph {
     let mut g = Graph::with_nodes(set.len());
     let mut by_first: HashMap<boe_textkit::TokenId, Vec<usize>> = HashMap::new();
@@ -116,7 +116,8 @@ pub fn tergraph_scores(graph: &Graph) -> Vec<f64> {
     boe_par::par_map_min(&nodes, 64, |&v| node_score(graph, v))
 }
 
-/// Single-threaded reference for [`tergraph_scores`].
+/// Single-threaded reference for [`tergraph_scores`]: a test oracle for
+/// the equality suite, with no production caller.
 pub fn tergraph_scores_serial(graph: &Graph) -> Vec<f64> {
     graph.nodes().map(|v| node_score(graph, v)).collect()
 }

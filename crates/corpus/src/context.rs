@@ -62,11 +62,11 @@ impl StemMap {
 /// Find all occurrences of `phrase` (exact adjacent token-id sequence)
 /// by scanning every sentence of the corpus.
 ///
-/// This is the O(corpus tokens) reference implementation; hot paths
-/// resolve occurrences through
-/// [`crate::occurrence::OccurrenceIndex::find_occurrences`], which walks
-/// only the postings of the phrase's rarest token and is verified
-/// bit-identical to this scan (same occurrences, same order).
+/// The O(corpus tokens) test oracle, with no production caller: hot
+/// paths use [`crate::occurrence::OccurrenceIndex::find_occurrences`],
+/// which walks only the postings of the phrase's rarest token and which
+/// the occurrence equality suites check bit-identical to this scan
+/// (same occurrences, same order).
 pub fn find_occurrences_naive(corpus: &Corpus, phrase: &[TokenId]) -> Vec<Occurrence> {
     let mut out = Vec::new();
     if phrase.is_empty() {

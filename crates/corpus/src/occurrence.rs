@@ -88,8 +88,9 @@ impl OccurrenceIndex {
         }
     }
 
-    /// The reference backend: every query is answered by the naive
-    /// full-corpus scan. No index is built.
+    /// The reference backend, a test oracle with no production caller
+    /// (only the equality suites select `NaiveScan`): every query is the
+    /// naive full-corpus scan. No index is built.
     pub fn naive() -> Self {
         OccurrenceIndex {
             backend: Backend::Naive,

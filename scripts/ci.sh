@@ -22,15 +22,17 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --check
 
 # Parallel-runtime gates: bit-identical output across thread counts
-# (full pipeline + similarity matrix), the randomized Step I
+# (full pipeline + similarity matrix) and the randomized Step I
 # serial-vs-parallel equality sweep (EN/FR/ES raw corpora, 1 vs 8
-# threads, byte-level vocabulary/candidate/graph comparison), and a
-# small perf-report smoke run with the runtime forced to 2 threads.
-# Benches always run with chaos explicitly disarmed — an inherited
-# BOE_CHAOS plan would poison the timings (perf_report refuses anyway).
+# threads, byte-level vocabulary/candidate/graph comparison).
 run cargo test -q --offline --test parallel_determinism
 run timeout "$TEST_TIMEOUT" cargo test -q --offline --test step1_parallel_equality
-run env BOE_THREADS=2 BOE_CHAOS=off cargo run --release --offline -p boe-bench --bin perf_report -- --smoke --out target/BENCH_smoke.json
+
+# The table generator: every paper table and ablation at quick scale
+# must print without error (chaos disarmed, so an inherited BOE_CHAOS
+# plan cannot leak into the experiments).
+echo "==> run_experiments (quick scale)"
+BOE_CHAOS=off cargo run --release --offline -q -p boe-eval --bin run_experiments > /dev/null
 
 # Resource-governance gates: budgets trip into truncated reports (never
 # aborts), `boe-par` early exit keeps a deterministic prefix, and the

@@ -1,9 +1,28 @@
 //! Integration: the paper's evaluation *shapes* hold at test scale
-//! (EXPERIMENTS.md records the full-scale numbers).
+//! (EXPERIMENTS.md records the full-scale numbers), and the headline
+//! numbers `run_experiments` prints at quick scale are pinned exactly, so
+//! a change that moves both sides of a relative check still fails here.
 
 use bio_onto_enrich::cluster::InternalIndex;
+use bio_onto_enrich::eval::exp_polysemy::FeatureSubset;
 use bio_onto_enrich::eval::world::{World, WorldConfig};
 use bio_onto_enrich::eval::{exp_linkage_precision, exp_polysemy, exp_sense_number, exp_table1};
+use bio_onto_enrich::textkit::normalize::match_key;
+use bio_onto_enrich::workflow::polysemy::detector::PolysemyModel;
+use bio_onto_enrich::workflow::termex::candidates::CandidateOptions;
+use bio_onto_enrich::workflow::termex::{TermExtractor, TermMeasure};
+use std::collections::HashSet;
+
+/// Bit-for-bit f64 comparison; the message prints both sides at
+/// round-trip precision so an intended change can be read off it.
+fn assert_bits(what: &str, actual: &[f64], expected: &[f64]) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(actual),
+        bits(expected),
+        "{what}: measured {actual:?}, pinned {expected:?}"
+    );
+}
 
 #[test]
 fn table1_counts_match_calibration_exactly() {
@@ -27,6 +46,7 @@ fn sense_number_best_index_beats_majority_baseline() {
         res.majority_baseline
     );
     assert!(best.accuracy > 0.85, "best accuracy {}", best.accuracy);
+    assert_bits("E3 best accuracy (quick)", &[best.accuracy], &[1.0]);
     // The literal Table-2 f_k tracks the majority baseline (it almost
     // always picks k = 2) — the reproduction finding EXPERIMENTS.md
     // discusses.
@@ -48,6 +68,32 @@ fn polysemy_f_measure_is_high() {
 }
 
 #[test]
+fn polysemy_feature_subset_ablation_is_pinned() {
+    // The E4 ablation rows of `run_experiments` (quick scale): the forest
+    // on the 11 direct and on the 12 graph features alone.
+    let cfg = exp_polysemy::PolysemyExpConfig {
+        models: vec![PolysemyModel::Forest],
+        ..exp_polysemy::PolysemyExpConfig::quick()
+    };
+    let prf = |subset| {
+        let rows = exp_polysemy::run_subset(&cfg, subset);
+        assert_eq!(rows.len(), 1);
+        let c = &rows[0].confusion;
+        vec![c.precision(), c.recall(), c.f1()]
+    };
+    assert_bits(
+        "E4 direct-11 forest P/R/F",
+        &prf(FeatureSubset::DirectOnly),
+        &[0.9047619047619048, 0.95, 0.9268292682926829],
+    );
+    assert_bits(
+        "E4 graph-12 forest P/R/F",
+        &prf(FeatureSubset::GraphOnly),
+        &[0.9523809523809523, 1.0, 0.975609756097561],
+    );
+}
+
+#[test]
 fn linkage_precision_shape_holds() {
     let w = World::generate(&WorldConfig {
         n_concepts: 100,
@@ -62,4 +108,54 @@ fn linkage_precision_shape_holds() {
     assert!(r.at[0] <= r.at[1] && r.at[1] <= r.at[2] && r.at[2] <= r.at[3]);
     assert!(r.at[3] >= 0.5, "top-10 precision {}", r.at[3]);
     assert!(r.at[0] > 0.0, "top-1 precision should be nonzero");
+    assert_bits(
+        "Table 4 Top1/2/5/10",
+        &r.at,
+        &[0.5, 0.9166666666666666, 1.0, 1.0],
+    );
+}
+
+#[test]
+fn step1_ablations_are_pinned() {
+    // The quick-scale linkage world of `run_experiments`.
+    let world = World::generate(&WorldConfig {
+        n_concepts: 120,
+        n_holdout: 20,
+        abstracts_per_concept: 5,
+        ..Default::default()
+    });
+
+    // A4b: Top1/2/5/10 at Step-I candidate pools of 50, 150 and 300.
+    let pools: Vec<[f64; 4]> = [50, 150, 300]
+        .into_iter()
+        .map(|pool| exp_linkage_precision::run(&world, pool, true).at)
+        .collect();
+    assert_bits("A4b pool 50", &pools[0], &[0.8, 1.0, 1.0, 1.0]);
+    assert_bits("A4b pool 150", &pools[1], &[0.55, 0.9, 1.0, 1.0]);
+    assert_bits("A4b pool 300", &pools[2], &[0.45, 0.7, 1.0, 1.0]);
+
+    // A3: gold-term precision@100 per measure, in `TermMeasure::ALL` order.
+    let gold: HashSet<String> = world
+        .full_ontology
+        .terms()
+        .iter()
+        .map(|(t, _)| match_key(t))
+        .collect();
+    let extractor = TermExtractor::new(&world.corpus, CandidateOptions::default());
+    let p_at_100: Vec<f64> = TermMeasure::ALL
+        .into_iter()
+        .map(|measure| {
+            let hits = extractor
+                .top(&world.corpus, measure, 100)
+                .iter()
+                .filter(|t| gold.contains(&match_key(&t.surface)))
+                .count();
+            hits as f64 / 100.0
+        })
+        .collect();
+    assert_bits(
+        "A3 P@100 per measure",
+        &p_at_100,
+        &[0.35, 0.47, 0.25, 0.6, 0.82, 0.38, 0.37],
+    );
 }
