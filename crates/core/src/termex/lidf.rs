@@ -47,7 +47,8 @@ mod tests {
         }
         let c = b.build();
         let ix = InvertedIndex::build(&c);
-        let set = extract_candidates(&c, CandidateOptions::default());
+        let set =
+            extract_candidates(&c, CandidateOptions::default(), &|| false).expect("never stopped");
         (ix, set, PatternSet::for_language(Language::English))
     }
 

@@ -90,11 +90,8 @@ pub fn mean_token_idf(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
 }
 
 /// Convenience: C-values for a whole candidate set (index-aligned).
-/// Scores are independent per candidate, so the loop runs on `boe_par`
-/// (bit-identical to the serial map at any thread count); the high
-/// serial threshold reflects how cheap one C-value is.
 pub fn c_values(set: &CandidateSet) -> Vec<f64> {
-    boe_par::par_map_min(&set.terms, 512, c_value)
+    set.terms.iter().map(c_value).collect()
 }
 
 /// Phrase TF-IDF for a whole candidate set (index-aligned), on `boe_par`.
@@ -133,7 +130,8 @@ mod tests {
         }
         let c = b.build();
         let ix = InvertedIndex::build(&c);
-        let set = extract_candidates(&c, CandidateOptions::default());
+        let set =
+            extract_candidates(&c, CandidateOptions::default(), &|| false).expect("never stopped");
         (c, ix, set)
     }
 

@@ -1,6 +1,6 @@
 //! The term extractor: candidates + a chosen measure → ranked term list.
 
-use crate::termex::candidates::{try_extract_candidates, CandidateOptions, CandidateSet};
+use crate::termex::candidates::{extract_candidates, CandidateOptions, CandidateSet};
 use crate::termex::lidf::lidf_values;
 use crate::termex::measures::{c_values, f_ocapis, f_tfidf_cs, phrase_okapis, phrase_tf_idfs};
 use crate::termex::tergraph::{tergraph_scores, term_cooccurrence_graph};
@@ -102,15 +102,14 @@ impl TermExtractor {
 
     /// [`new`](Self::new) with cooperative cancellation: `should_stop`
     /// is threaded into candidate extraction (see
-    /// [`try_extract_candidates`]) so a resource governor can interrupt
+    /// [`extract_candidates`]) so a resource governor can interrupt
     /// a long Step I mid-scan. Returns `None` when interrupted — the
-    /// deterministic "no extractor" outcome, identical at any thread
-    /// count for a monotonic predicate.
+    /// deterministic "no extractor" outcome.
     pub fn try_new<S>(corpus: &Corpus, opts: CandidateOptions, should_stop: &S) -> Option<Self>
     where
         S: Fn() -> bool + Sync,
     {
-        let candidates = try_extract_candidates(corpus, opts, should_stop)?;
+        let candidates = extract_candidates(corpus, opts, should_stop)?;
         Some(TermExtractor {
             candidates,
             index: InvertedIndex::build(corpus),
@@ -132,9 +131,10 @@ impl TermExtractor {
     /// for determinism). `corpus` must be the corpus the extractor was
     /// built from (needed only by the graph-based measure).
     pub fn rank(&self, corpus: &Corpus, measure: TermMeasure) -> Vec<RankedTerm> {
-        // Each batch scorer fans its per-candidate loop out on `boe_par`
-        // (independent read-only scores, in-order reassembly): scores are
-        // bit-identical to the serial maps at any thread count.
+        // The phrase-index scorers (TF-IDF, Okapi, the fusions, LIDF) fan
+        // their per-candidate loops out on `boe_par` (independent
+        // read-only scores, in-order reassembly, so bit-identical at any
+        // thread count); C-value and TeRGraph are serial.
         let scores: Vec<f64> = match measure {
             TermMeasure::CValue => c_values(&self.candidates),
             TermMeasure::TfIdf => phrase_tf_idfs(&self.index, &self.candidates),

@@ -15,24 +15,23 @@ use boe_corpus::Corpus;
 use boe_graph::{Graph, NodeId};
 use std::collections::HashMap;
 
-/// Per-sentence candidate scan: the (sorted, deduped) co-occurrence pair
-/// counts of one document, as a canonically ordered list.
-fn doc_pair_counts(
-    doc: &boe_corpus::doc::Document,
-    set: &CandidateSet,
-    by_first: &HashMap<boe_textkit::TokenId, Vec<usize>>,
-) -> Vec<((usize, usize), u32)> {
-    let mut counts: HashMap<(usize, usize), u32> = HashMap::new();
+/// The term co-occurrence graph over a candidate set: node = candidate
+/// index, edge weight = number of sentences where both candidates occur.
+pub fn term_cooccurrence_graph(corpus: &Corpus, set: &CandidateSet) -> Graph {
+    // Map from first token to candidate indices, for fast sentence scans.
+    let mut by_first: HashMap<boe_textkit::TokenId, Vec<usize>> = HashMap::new();
+    for (i, t) in set.terms.iter().enumerate() {
+        by_first.entry(t.tokens[0]).or_default().push(i);
+    }
+    let mut pair_counts: HashMap<(usize, usize), u32> = HashMap::new();
     let mut present: Vec<usize> = Vec::new();
-    for s in &doc.sentences {
+    for s in corpus.docs().iter().flat_map(|doc| &doc.sentences) {
         present.clear();
         for start in 0..s.tokens.len() {
             if let Some(cands) = by_first.get(&s.tokens[start]) {
                 for &ci in cands {
-                    let t = &set.terms[ci];
-                    if start + t.tokens.len() <= s.tokens.len()
-                        && s.tokens[start..start + t.tokens.len()] == t.tokens[..]
-                    {
+                    let t = &set.terms[ci].tokens;
+                    if s.tokens[start..].starts_with(t) {
                         present.push(ci);
                     }
                 }
@@ -42,63 +41,14 @@ fn doc_pair_counts(
         present.dedup();
         for i in 0..present.len() {
             for j in (i + 1)..present.len() {
-                *counts.entry((present[i], present[j])).or_insert(0) += 1;
+                *pair_counts.entry((present[i], present[j])).or_insert(0) += 1;
             }
         }
     }
-    let mut pairs: Vec<((usize, usize), u32)> = counts.into_iter().collect();
-    pairs.sort_unstable();
-    pairs
-}
-
-/// The term co-occurrence graph over a candidate set: node = candidate
-/// index, edge weight = number of sentences where both candidates occur.
-///
-/// Per-document edge multisets are built in parallel (`boe_par`) and
-/// reduced serially in document order; edge weights are integer counts,
-/// so the result is bit-identical to
-/// [`term_cooccurrence_graph_serial`] at any thread count.
-pub fn term_cooccurrence_graph(corpus: &Corpus, set: &CandidateSet) -> Graph {
-    let mut g = Graph::with_nodes(set.len());
-    // Map from first token to candidate indices, for fast sentence scans.
-    let mut by_first: HashMap<boe_textkit::TokenId, Vec<usize>> = HashMap::new();
-    for (i, t) in set.terms.iter().enumerate() {
-        by_first.entry(t.tokens[0]).or_default().push(i);
-    }
-    let per_doc: Vec<Vec<((usize, usize), u32)>> =
-        boe_par::par_map(corpus.docs(), |doc| doc_pair_counts(doc, set, &by_first));
-    // Serial in-order reduction; the final sort canonicalizes edge order
-    // exactly as the serial single-map accumulation does.
-    let mut pair_counts: HashMap<(usize, usize), u32> = HashMap::new();
-    for doc_pairs in per_doc {
-        for (pair, w) in doc_pairs {
-            *pair_counts.entry(pair).or_insert(0) += w;
-        }
-    }
+    // Edge weights are integer counts; sorting canonicalizes edge order.
     let mut pairs: Vec<((usize, usize), u32)> = pair_counts.into_iter().collect();
     pairs.sort_unstable();
-    for ((a, b), w) in pairs {
-        g.add_edge(NodeId(a as u32), NodeId(b as u32), f64::from(w));
-    }
-    g
-}
-
-/// The original single-threaded co-occurrence graph build: a test oracle
-/// for the equality suite, with no production caller.
-pub fn term_cooccurrence_graph_serial(corpus: &Corpus, set: &CandidateSet) -> Graph {
     let mut g = Graph::with_nodes(set.len());
-    let mut by_first: HashMap<boe_textkit::TokenId, Vec<usize>> = HashMap::new();
-    for (i, t) in set.terms.iter().enumerate() {
-        by_first.entry(t.tokens[0]).or_default().push(i);
-    }
-    let mut pair_counts: HashMap<(usize, usize), u32> = HashMap::new();
-    for doc in corpus.docs() {
-        for (pair, w) in doc_pair_counts(doc, set, &by_first) {
-            *pair_counts.entry(pair).or_insert(0) += w;
-        }
-    }
-    let mut pairs: Vec<((usize, usize), u32)> = pair_counts.into_iter().collect();
-    pairs.sort_unstable();
     for ((a, b), w) in pairs {
         g.add_edge(NodeId(a as u32), NodeId(b as u32), f64::from(w));
     }
@@ -107,18 +57,7 @@ pub fn term_cooccurrence_graph_serial(corpus: &Corpus, set: &CandidateSet) -> Gr
 
 /// TeRGraph scores for every candidate (index-aligned with the set).
 /// Isolated candidates score `log2(1.5)` (empty neighbourhood sum).
-///
-/// Each node's score is independent and its neighbourhood sum follows
-/// adjacency order, so the parallel map is bit-identical to
-/// [`tergraph_scores_serial`] at any thread count.
 pub fn tergraph_scores(graph: &Graph) -> Vec<f64> {
-    let nodes: Vec<NodeId> = graph.nodes().collect();
-    boe_par::par_map_min(&nodes, 64, |&v| node_score(graph, v))
-}
-
-/// Single-threaded reference for [`tergraph_scores`]: a test oracle for
-/// the equality suite, with no production caller.
-pub fn tergraph_scores_serial(graph: &Graph) -> Vec<f64> {
     graph.nodes().map(|v| node_score(graph, v)).collect()
 }
 
@@ -148,7 +87,8 @@ mod tests {
             b.add_text(t);
         }
         let c = b.build();
-        let set = extract_candidates(&c, CandidateOptions::default());
+        let set =
+            extract_candidates(&c, CandidateOptions::default(), &|| false).expect("never stopped");
         (c, set)
     }
 
@@ -215,34 +155,6 @@ mod tests {
         let g = Graph::with_nodes(1);
         let scores = tergraph_scores(&g);
         assert!((scores[0] - 1.5f64.log2()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_graph_and_scores_match_serial() {
-        let (c, set) = setup(&[
-            "corneal injuries damage epithelium badly. cornea heals.",
-            "corneal injuries damage epithelium severely. cornea scars.",
-            "acute corneal injuries worsen. epithelium thins.",
-            "acute corneal injuries persist. cornea heals again.",
-        ]);
-        let gs = term_cooccurrence_graph_serial(&c, &set);
-        let ss = tergraph_scores_serial(&gs);
-        for threads in [1usize, 8] {
-            boe_par::set_threads(Some(threads));
-            let gp = term_cooccurrence_graph(&c, &set);
-            let sp = tergraph_scores(&gp);
-            boe_par::set_threads(None);
-            assert_eq!(gp.node_count(), gs.node_count(), "at {threads} thread(s)");
-            let es: Vec<_> = gs.edges().collect();
-            let ep: Vec<_> = gp.edges().collect();
-            assert_eq!(ep, es, "edges diverge at {threads} thread(s)");
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&sp),
-                bits(&ss),
-                "scores diverge at {threads} thread(s)"
-            );
-        }
     }
 
     #[test]

@@ -32,7 +32,6 @@ use crate::corpus::Corpus;
 use crate::index::{InvertedIndex, Posting};
 use crate::vector::SparseVector;
 use boe_textkit::TokenId;
-use std::sync::Arc;
 
 /// How a pipeline run resolves phrase occurrences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,7 +57,7 @@ impl OccurrenceResolution {
 /// The resolution backend: positional postings, or the reference scan.
 #[derive(Debug)]
 enum Backend {
-    Indexed(Arc<InvertedIndex>),
+    Indexed(InvertedIndex),
     Naive,
 }
 
@@ -76,15 +75,8 @@ pub struct OccurrenceIndex {
 impl OccurrenceIndex {
     /// Build the positional index over `corpus` (one corpus pass).
     pub fn build(corpus: &Corpus) -> Self {
-        Self::from_inverted(Arc::new(InvertedIndex::build(corpus)))
-    }
-
-    /// Wrap an already-built [`InvertedIndex`] (shared, not copied) —
-    /// lets a caller that needs the raw index for weighting reuse one
-    /// build for both purposes.
-    pub fn from_inverted(index: Arc<InvertedIndex>) -> Self {
         OccurrenceIndex {
-            backend: Backend::Indexed(index),
+            backend: Backend::Indexed(InvertedIndex::build(corpus)),
         }
     }
 
@@ -94,14 +86,6 @@ impl OccurrenceIndex {
     pub fn naive() -> Self {
         OccurrenceIndex {
             backend: Backend::Naive,
-        }
-    }
-
-    /// The underlying inverted index, when this is the indexed backend.
-    pub fn inverted(&self) -> Option<&Arc<InvertedIndex>> {
-        match &self.backend {
-            Backend::Indexed(ix) => Some(ix),
-            Backend::Naive => None,
         }
     }
 
@@ -417,7 +401,6 @@ mod tests {
         let c = corpus();
         let naive = OccurrenceIndex::naive();
         assert!(!naive.is_indexed());
-        assert!(naive.inverted().is_none());
         let phrase = c.phrase_ids("corneal injuries").expect("known");
         assert_same_occurrences(&c, &naive, &phrase);
         assert!(naive.contains(&c, &phrase));
@@ -433,15 +416,5 @@ mod tests {
             OccurrenceResolution::default(),
             OccurrenceResolution::Indexed
         );
-    }
-
-    #[test]
-    fn shared_inverted_index_is_reused() {
-        let c = corpus();
-        let ix = Arc::new(InvertedIndex::build(&c));
-        let ox = OccurrenceIndex::from_inverted(ix.clone());
-        assert!(Arc::ptr_eq(ox.inverted().expect("indexed"), &ix));
-        let phrase = c.phrase_ids("corneal injuries").expect("known");
-        assert_same_occurrences(&c, &ox, &phrase);
     }
 }

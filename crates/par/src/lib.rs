@@ -19,18 +19,18 @@
 //!
 //! The thread count comes from, in priority order: a process-wide
 //! programmatic override ([`set_threads`]), the `BOE_THREADS` environment
-//! variable, and finally [`std::thread::available_parallelism`]. A count
+//! variable, and finally [`std::thread::available_parallelism`], capped
+//! at 256 so a huge request cannot exhaust the OS thread limit. A count
 //! of 1 (or fewer items than [`MIN_PARALLEL_ITEMS`]) short-circuits to
 //! the plain serial loop — no threads are spawned at all, so `BOE_THREADS=1`
 //! is a true serial baseline.
 //!
 //! ## Cooperative early exit
 //!
-//! The `try_*` combinators ([`try_par_map`], [`try_par_map_indexed`])
-//! additionally poll a caller-supplied stop predicate **before every
-//! item**. When it first returns `true` the workers stop and the call
-//! returns [`ParOutcome::Interrupted`] holding
-//! the **deterministic completed prefix**: the longest contiguous run of
+//! [`try_par_map`] additionally polls a caller-supplied stop predicate
+//! **before every item**. When it first returns `true` the workers stop
+//! and the call returns [`ParOutcome::Interrupted`] holding the
+//! **deterministic completed prefix**: the longest contiguous run of
 //! leading items that finished. Because chunks are contiguous and
 //! reassembly is in order, that prefix is always bit-identical to the
 //! first `prefix.len()` results of the serial loop — work completed
@@ -55,6 +55,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// per-item work should raise the bar further via [`par_map_min`].
 pub const MIN_PARALLEL_ITEMS: usize = 2;
 
+/// Ceiling on the resolved thread count: every map spawns up to this
+/// many scoped threads, and a spawn failure would panic the caller.
+const MAX_THREADS: usize = 256;
+
 /// Process-wide thread-count override; 0 means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
@@ -68,20 +72,20 @@ pub fn set_threads(n: Option<usize>) {
 
 /// The resolved worker-thread count: the [`set_threads`] override if set,
 /// else `BOE_THREADS` (when it parses to ≥ 1), else
-/// [`std::thread::available_parallelism`], else 1.
+/// [`std::thread::available_parallelism`], else 1 — in every case at
+/// most 256.
 pub fn threads() -> usize {
     let o = OVERRIDE.load(Ordering::SeqCst);
-    if o > 0 {
-        return o;
-    }
-    if let Ok(s) = std::env::var("BOE_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    let n = if o > 0 {
+        o
+    } else {
+        std::env::var("BOE_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    };
+    n.min(MAX_THREADS)
 }
 
 /// Outcome of a cancellable parallel map: either every item completed,
@@ -131,20 +135,6 @@ where
         // Without a stop predicate no worker ever stops early.
         ParOutcome::Interrupted { .. } => unreachable!("no stop predicate"),
     }
-}
-
-/// [`par_map_indexed_min`] with cooperative cancellation: `should_stop` is
-/// polled before every item; once it returns `true` the workers wind
-/// down and the deterministic completed prefix is returned. The
-/// predicate must be monotonic (once `true`, stay `true`) for the
-/// prefix guarantee to be meaningful.
-pub fn try_par_map_indexed<U, F, S>(n: usize, should_stop: &S, f: F) -> ParOutcome<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-    S: Fn() -> bool + Sync,
-{
-    chunked_run(n, MIN_PARALLEL_ITEMS, Some(should_stop), f)
 }
 
 /// The shared chunked executor behind both the plain and the
@@ -247,9 +237,11 @@ where
     par_map_indexed_min(items.len(), min_items, |i| f(&items[i]))
 }
 
-/// [`par_map`] with cooperative cancellation (see
-/// [`try_par_map_indexed`]): returns the deterministic completed prefix
-/// when `should_stop` fires mid-run.
+/// [`par_map`] with cooperative cancellation: `should_stop` is polled
+/// before every item; once it returns `true` the workers wind down and
+/// the deterministic completed prefix is returned. The predicate must be
+/// monotonic (once `true`, stay `true`) for the prefix guarantee to be
+/// meaningful.
 pub fn try_par_map<T, U, F, S>(items: &[T], should_stop: &S, f: F) -> ParOutcome<U>
 where
     T: Sync,
@@ -257,7 +249,9 @@ where
     F: Fn(&T) -> U + Sync,
     S: Fn() -> bool + Sync,
 {
-    try_par_map_indexed(items.len(), should_stop, |i| f(&items[i]))
+    chunked_run(items.len(), MIN_PARALLEL_ITEMS, Some(should_stop), |i| {
+        f(&items[i])
+    })
 }
 
 #[cfg(test)]
@@ -342,6 +336,15 @@ mod tests {
         set_threads(None);
         std::env::set_var("BOE_THREADS", "5");
         assert_eq!(threads(), 5);
+        // Huge requests resolve to the ceiling (no map runs, so no
+        // thread is spawned).
+        std::env::set_var("BOE_THREADS", "100000");
+        assert_eq!(threads(), MAX_THREADS);
+        std::env::set_var("BOE_THREADS", usize::MAX.to_string());
+        assert_eq!(threads(), MAX_THREADS);
+        set_threads(Some(100_000));
+        assert_eq!(threads(), MAX_THREADS);
+        set_threads(None);
         std::env::set_var("BOE_THREADS", "not a number");
         assert!(threads() >= 1); // falls through to available_parallelism
         std::env::remove_var("BOE_THREADS");

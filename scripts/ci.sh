@@ -20,11 +20,14 @@ run timeout "$TEST_TIMEOUT" cargo test -q --offline
 run timeout "$TEST_TIMEOUT" cargo test -q --workspace --offline
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --check
+# Broken intra-doc links fail the build, like lint warnings.
+RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps --offline
 
 # Parallel-runtime gates: bit-identical output across thread counts
-# (full pipeline + similarity matrix) and the randomized Step I
-# serial-vs-parallel equality sweep (EN/FR/ES raw corpora, 1 vs 8
-# threads, byte-level vocabulary/candidate/graph comparison).
+# (full pipeline + similarity matrix) and the randomized Step I sweep
+# (EN/FR/ES raw corpora: batch vs serial ingestion byte for byte, and
+# candidates, graph and TeRGraph/LIDF score bits equal at 1 and 8
+# threads and to a golden digest per language).
 run cargo test -q --offline --test parallel_determinism
 run timeout "$TEST_TIMEOUT" cargo test -q --offline --test step1_parallel_equality
 

@@ -58,6 +58,8 @@ const FANOUT_STAGES: &str = "PolysemyDetection|SenseInduction|SemanticLinkage";
 
 /// One row per stall site. A stall at the Step III/IV set-up keeps the
 /// set-up's `SenseInduction` timing: every stage that began is timed.
+/// Candidate extraction is serial, so the first `par.worker` stall
+/// lands in LIDF ranking and trips at the checkpoint after Step I.
 const STALL_EXITS: &[StallExit] = &[
     StallExit {
         site: "pipeline.validate",
@@ -142,9 +144,9 @@ const STALL_EXITS: &[StallExit] = &[
     StallExit {
         site: "par.worker",
         trips: "deadline@TermExtraction",
-        truncated_stages: ALL_STEPS,
-        terms: 0,
-        truncated_terms: 0,
+        truncated_stages: FANOUT_STAGES,
+        terms: 25,
+        truncated_terms: 25,
         timings: "TermExtraction",
     },
 ];
